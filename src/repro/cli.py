@@ -598,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll",
         type=_positive_float,
         default=0.05,
-        help="socket poll interval in real seconds (default: 0.05)",
+        help="longest wait for socket activity, in real seconds, while "
+        "no --turbo run has work; also the --rate pacing step (default: 0.05)",
     )
     serve.add_argument(
         "--spec",

@@ -66,6 +66,8 @@ class Machine:
         ]
         self._active_count = 0
         self._level_counts: dict[int, int] = {}
+        #: :meth:`level_counts` as last built; ``None`` once it went stale.
+        self._level_counts_view: Optional[tuple[tuple[int, int], ...]] = None
         for core in self._cores:
             core.add_observer(self._on_core_level_change)
 
@@ -91,8 +93,16 @@ class Machine:
         return len(self._cores) - self._active_count
 
     def level_counts(self) -> tuple[tuple[int, int], ...]:
-        """``(level, active-core count)`` pairs, sorted by level."""
-        return tuple(sorted(self._level_counts.items()))
+        """``(level, active-core count)`` pairs, sorted by level.
+
+        Every sample between two occupancy or DVFS changes shares one
+        tuple, so a long telemetry timeline does not hold a copy each.
+        """
+        view = self._level_counts_view
+        if view is None:
+            view = tuple(sorted(self._level_counts.items()))
+            self._level_counts_view = view
+        return view
 
     # ------------------------------------------------------------------
     def acquire_core(self, level: int) -> Core:
@@ -103,6 +113,7 @@ class Machine:
                 self._active_count += 1
                 counts = self._level_counts
                 counts[level] = counts.get(level, 0) + 1
+                self._level_counts_view = None
                 self._notify_occupancy()
                 return core
         raise NoCoreAvailable(
@@ -122,6 +133,7 @@ class Machine:
             counts[level] = remaining
         else:
             del counts[level]
+        self._level_counts_view = None
         self._notify_occupancy()
 
     def _on_core_level_change(self, core: Core, old_level: int, new_level: int) -> None:
@@ -132,6 +144,7 @@ class Machine:
         else:
             del counts[old_level]
         counts[new_level] = counts.get(new_level, 0) + 1
+        self._level_counts_view = None
 
     # ------------------------------------------------------------------
     # Contention

@@ -32,7 +32,7 @@ from repro.units import Joules, SimTime, Watts
 __all__ = ["PowerSample", "PowerTelemetry"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerSample:
     """One point on the power timeline.
 

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceMetricReading:
     """One instance's Equation-1 evaluation at a decision instant."""
 
@@ -278,6 +278,22 @@ class AuditLog:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def tail(
+        self, n: Optional[int] = None, kind: Optional[str] = None
+    ) -> list[dict[str, Any]]:
+        """The last ``n`` entries (every one when ``None``) whose ``kind``
+        matches (any kind when ``None``), oldest first, as dicts.
+
+        Picks the entries before converting them, so the conversion cost
+        follows the size of the answer, not the length of the log.
+        """
+        picked = self._entries
+        if kind is not None:
+            picked = [entry for entry in picked if entry.kind == kind]
+        if n is not None:
+            picked = picked[max(len(picked) - n, 0):]
+        return [entry.to_dict() for entry in picked]
 
     # ------------------------------------------------------------------
     def to_dicts(self) -> list[dict[str, Any]]:

@@ -20,7 +20,7 @@ from repro.sim.process import PeriodicProcess
 __all__ = ["StageSnapshot", "StateSample", "StateSampler", "QosSample", "QosSampler"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageSnapshot:
     """One stage's pool at a sampling instant."""
 
@@ -31,7 +31,7 @@ class StageSnapshot:
     queue_length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSample:
     """The whole application's pool state at a sampling instant."""
 
@@ -61,6 +61,8 @@ class StateSampler:
             )
         self.application = application
         self.samples: list[StateSample] = []
+        #: Each stage's last sampled ``frequencies``, reused while unchanged.
+        self._frequencies: dict[str, tuple[tuple[str, float], ...]] = {}
         self._process = PeriodicProcess(
             sim, sample_interval_s, self._sample, start_delay=0.0, name="state-sampler"
         )
@@ -73,15 +75,22 @@ class StateSampler:
 
     def _sample(self, now: float) -> None:
         snapshots = []
+        previous = self._frequencies
         for stage in self.application.stages:
             instances = stage.instances
+            frequencies = tuple(
+                (inst.name, inst.frequency_ghz) for inst in instances
+            )
+            # Samples between two DVFS or pool changes share one tuple.
+            if frequencies == previous.get(stage.name):
+                frequencies = previous[stage.name]
+            else:
+                previous[stage.name] = frequencies
             snapshots.append(
                 StageSnapshot(
                     stage_name=stage.name,
                     instance_count=len(instances),
-                    frequencies=tuple(
-                        (inst.name, inst.frequency_ghz) for inst in instances
-                    ),
+                    frequencies=frequencies,
                     queue_length=stage.total_queue_length(),
                 )
             )

@@ -13,7 +13,13 @@ into a simulated-time deadline per run (``rate`` sim-seconds per real
 second) and ticks the run there.  ``turbo`` ignores the wall clock and
 advances a fixed simulated quantum per iteration instead — as fast as
 the host can go while still draining the command socket between
-chunks.
+chunks: while any turbo run has work, the loop only polls the sockets
+and never sleeps in ``select``; ``poll_interval_s`` bounds the idle
+wake-ups and the wall-clock pacing step.
+
+Replies never block the loop and are never cut off: each connection
+queues its outbound bytes, sends what the socket accepts, and waits for
+write-readiness only while bytes are pending.
 """
 
 from __future__ import annotations
@@ -38,23 +44,78 @@ from repro.serve.protocol import (
 __all__ = ["ReproDaemon"]
 
 
-class _Connection:
-    """One accepted client: its socket, read buffer and subscriptions."""
+#: How long shutdown may spend flushing replies still queued for slow
+#: readers before it closes their connections anyway.
+SHUTDOWN_FLUSH_S = 5.0
 
-    def __init__(self, sock: socket.socket) -> None:
+#: Bytes one connection may keep queued before the daemon drops it: a
+#: client that stops reading (a stalled ``watch``) must not grow the
+#: daemon without bound.
+MAX_QUEUED_BYTES = 64 * 1024 * 1024
+
+
+class _Connection:
+    """One accepted client: its socket, read and write buffers, and
+    subscriptions."""
+
+    def __init__(
+        self, sock: socket.socket, selector: selectors.BaseSelector
+    ) -> None:
         self.sock = sock
         self.buffer = b""
+        #: Reply and event bytes the socket has not accepted yet.
+        self.outbox = bytearray()
         #: run name -> stream cursor (index into the run's stream lines).
         self.watching: dict[str, int] = {}
         #: runs whose "finished" event this connection already received.
         self.announced: set[str] = set()
         self.closed = False
+        self._selector = selector
+        self._events = selectors.EVENT_READ
+        selector.register(sock, self._events, self)
 
     def send_line(self, line: str) -> None:
         if self.closed:
             return
+        self.outbox += line.encode("utf-8")
+        self.outbox += b"\n"
+        self.flush()
+        if len(self.outbox) > MAX_QUEUED_BYTES:
+            self.closed = True
+
+    def flush(self) -> None:
+        """Send what the socket accepts now; watch for write-readiness
+        only while bytes stay queued."""
+        if self.closed:
+            return
+        if self.outbox:
+            try:
+                sent = self.sock.send(self.outbox)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                self.closed = True
+                return
+            del self.outbox[:sent]
+        events = selectors.EVENT_READ
+        if self.outbox:
+            events |= selectors.EVENT_WRITE
+        if events != self._events:
+            self._events = events
+            self._selector.modify(self.sock, events, self)
+
+    def drain(self, deadline: float) -> None:
+        """Block until the queued bytes are sent or ``deadline`` (a
+        ``time.monotonic`` instant) passes; used on the way out."""
+        if self.closed or not self.outbox:
+            return
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0:
+            return
         try:
-            self.sock.sendall(line.encode("utf-8") + b"\n")
+            self.sock.settimeout(remaining)
+            self.sock.sendall(self.outbox)
+            self.outbox.clear()
         except OSError:
             self.closed = True
 
@@ -140,12 +201,19 @@ class ReproDaemon:
         last = time.monotonic()
         try:
             while self._running:
-                events = self._selector.select(timeout=self.poll_interval_s)
-                for key, _mask in events:
-                    if key.data is None:
+                busy = self._has_turbo_work()
+                events = self._selector.select(
+                    timeout=0.0 if busy else self.poll_interval_s
+                )
+                for key, mask in events:
+                    conn = key.data
+                    if conn is None:
                         self._accept(key.fileobj)
-                    else:
-                        self._read(key.data)
+                        continue
+                    if mask & selectors.EVENT_WRITE:
+                        conn.flush()
+                    if mask & selectors.EVENT_READ and not conn.closed:
+                        self._read(conn)
                 now = time.monotonic()
                 self._advance_runs(now - last)
                 last = now
@@ -156,6 +224,13 @@ class ReproDaemon:
     def shutdown(self) -> None:
         """Ask the loop to exit after the current iteration."""
         self._running = False
+
+    def _has_turbo_work(self) -> bool:
+        """Whether a turbo loop has a run to advance right now (and so
+        must not sleep in ``select``)."""
+        return self.turbo and any(
+            not run.paused and not run.done for run in self.runs.values()
+        )
 
     def _bind(self) -> None:
         assert self._selector is not None
@@ -183,9 +258,7 @@ class ReproDaemon:
         assert self._selector is not None
         sock, _addr = listener.accept()
         sock.setblocking(False)
-        conn = _Connection(sock)
-        self._connections.append(conn)
-        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._connections.append(_Connection(sock, self._selector))
 
     def _drop(self, conn: _Connection) -> None:
         assert self._selector is not None
@@ -390,7 +463,11 @@ class ReproDaemon:
 
     # ------------------------------------------------------------------
     def _close_all(self) -> None:
+        # Replies still queued (the shutdown acknowledgement among them)
+        # go out before their connections close.
+        deadline = time.monotonic() + SHUTDOWN_FLUSH_S
         for conn in list(self._connections):
+            conn.drain(deadline)
             self._drop(conn)
         for listener in self._listeners:
             try:

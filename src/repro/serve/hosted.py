@@ -216,12 +216,7 @@ class HostedRun:
             raise ServeError(
                 f"run {self.name!r} has no audit log; arm the 'audit' pillar"
             )
-        entries = obs.audit.to_dicts()
-        if kind is not None:
-            entries = [e for e in entries if e.get("kind") == kind]
-        if tail is not None and tail >= 0:
-            entries = entries[len(entries) - min(tail, len(entries)):]
-        return entries
+        return obs.audit.tail(tail, kind=kind)
 
     # ------------------------------------------------------------------
     # Streaming

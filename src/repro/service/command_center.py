@@ -16,6 +16,7 @@ recycling victim.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Optional
 
@@ -53,7 +54,10 @@ class CommandCenter:
         self.e2e_window_s = float(e2e_window_s)
         self._instance_windows: dict[str, LatencyWindow] = {}
         self._stage_windows: dict[str, LatencyWindow] = {}
-        self._all_latencies: list[float] = []
+        #: Packed doubles: a hosted run keeps one per completed query for
+        #: its whole life, and a list of float objects takes four times
+        #: the memory.
+        self._all_latencies = array("d")
         self._recent_e2e: deque[tuple[float, float]] = deque()
         self.retain_queries = retain_queries
         self._completed_queries: list[Query] = []
@@ -195,7 +199,7 @@ class CommandCenter:
     @property
     def all_latencies(self) -> list[float]:
         """End-to-end latency of every completed query (run-lifetime)."""
-        return list(self._all_latencies)
+        return self._all_latencies.tolist()
 
     @property
     def stats_messages(self) -> int:

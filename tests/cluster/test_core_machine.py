@@ -154,6 +154,21 @@ class TestMachinePool:
         expected = machine.n_cores * DEFAULT_POWER_MODEL.power(2.4)
         assert machine.peak_power() == pytest.approx(expected)
 
+    def test_level_counts_cache_follows_acquire_release_and_retune(self, machine):
+        assert machine.level_counts() == ()
+        first = machine.acquire_core(LEVEL_1_2)
+        counts = machine.level_counts()
+        assert counts == ((LEVEL_1_2, 1),)
+        assert machine.level_counts() is counts  # cached between changes
+        second = machine.acquire_core(LEVEL_1_8)
+        assert machine.level_counts() == ((LEVEL_1_2, 1), (LEVEL_1_8, 1))
+        first.set_level(LEVEL_2_4)
+        assert machine.level_counts() == ((LEVEL_1_8, 1), (LEVEL_2_4, 1))
+        machine.release_core(second)
+        assert machine.level_counts() == ((LEVEL_2_4, 1),)
+        machine.release_core(first)
+        assert machine.level_counts() == ()
+
     def test_zero_cores_rejected(self, sim):
         with pytest.raises(ClusterError):
             Machine(sim, n_cores=0)

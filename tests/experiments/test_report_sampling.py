@@ -53,6 +53,41 @@ class TestStateSampler:
         names_and_freqs = sampler.samples[-1].stage("B").frequencies
         assert names_and_freqs == (("B_1", pytest.approx(1.8)),)
 
+    def test_unchanged_frequencies_share_one_tuple(self, sim, two_stage_app, machine):
+        sampler = StateSampler(sim, two_stage_app, sample_interval_s=5.0)
+        sampler.start()
+        sim.run(until=10.0)
+        first, second, third = (s.stage("B").frequencies for s in sampler.samples)
+        assert second is first
+        assert third is first
+
+    def test_dvfs_change_and_withdraw_build_fresh_frequencies(
+        self, sim, two_stage_app, dvfs
+    ):
+        sampler = StateSampler(sim, two_stage_app, sample_interval_s=5.0)
+        sampler.start()
+        stage = two_stage_app.stage("B")
+        original = stage.instances[0]
+        sim.run(until=5.0)
+        before = sampler.samples[-1].stage("B").frequencies
+        dvfs.set_level(original.core, 0)
+        sim.run(until=10.0)
+        retuned = sampler.samples[-1].stage("B").frequencies
+        assert retuned is not before
+        assert retuned == (("B_1", pytest.approx(1.2)),)
+        clone = stage.launch_instance(0)
+        sim.run(until=15.0)
+        grown = sampler.samples[-1].stage("B").frequencies
+        assert [name for name, _ in grown] == ["B_1", clone.name]
+        stage.withdraw_instance(clone)
+        sim.run(until=20.0)
+        shrunk = sampler.samples[-1].stage("B").frequencies
+        assert shrunk is not grown
+        assert shrunk == retuned
+        # The sampled history itself is unchanged by the sharing.
+        assert sampler.samples[1].stage("B").frequencies == before
+        assert sampler.samples[2].stage("B").frequencies == retuned
+
     def test_max_instances(self, sim, two_stage_app):
         sampler = StateSampler(sim, two_stage_app, sample_interval_s=5.0)
         sampler.start()

@@ -93,6 +93,44 @@ class TestAuditLog:
         assert data["time"] == 3.0
         assert data["controller"] == "powerchief"
 
+    @staticmethod
+    def mixed_log() -> AuditLog:
+        log = AuditLog()
+        for step in range(12):
+            time = float(step)
+            if step % 3 == 0:
+                log.record(SkipEntry(time=time, controller="c", reason=f"s{step}"))
+            elif step % 3 == 1:
+                reading = InstanceMetricReading(
+                    instance="B_1", stage="B", metric=time, queue_length=step,
+                    avg_queuing=0.5, avg_serving=1.0,
+                )
+                log.record(
+                    BottleneckEntry(
+                        time=time, controller="c", readings=(reading, reading),
+                        bottleneck="B_1", spread=0.25,
+                    )
+                )
+            else:
+                log.record(
+                    WithdrawEntry(
+                        time=time, controller="c", instance="B_2", stage="B",
+                        utilization=0.1, redirected_jobs=step,
+                    )
+                )
+        return log
+
+    @pytest.mark.parametrize("kind", [None, "skip", "bottleneck", "no-such-kind"])
+    @pytest.mark.parametrize("n", [None, 0, 1, 3, 4, 12, 50])
+    def test_tail_matches_filtering_every_dict(self, kind, n):
+        log = self.mixed_log()
+        expected = log.to_dicts()
+        if kind is not None:
+            expected = [entry for entry in expected if entry["kind"] == kind]
+        if n is not None:
+            expected = expected[len(expected) - min(n, len(expected)):]
+        assert log.tail(n, kind=kind) == expected
+
     def test_write_jsonl(self, tmp_path):
         log = AuditLog()
         log.record(SkipEntry(time=0.0, controller="c", reason="x"))

@@ -10,26 +10,29 @@ advances those, so the whole exchange is reproducible.
 from __future__ import annotations
 
 import json
+import selectors
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ProtocolError, ServeError
 from repro.scenario.spec import ScenarioSpec
 from repro.serve import CtlClient, ReproDaemon
+from repro.serve import daemon as daemon_module
 from repro.units import exactly
 
 SPEC = ScenarioSpec.latency(
     "sirius", "powerchief", ("constant", 1.5), 30.0, seed=3
 )
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
-@pytest.fixture
-def daemon(tmp_path):
-    path = str(tmp_path / "reprod.sock")
-    server = ReproDaemon(path, turbo=True, quantum_s=30.0, poll_interval_s=0.005)
+
+def _serve(server: ReproDaemon, path: str) -> threading.Thread:
+    """Run ``server`` on a background thread until its socket is bound."""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     deadline = time.monotonic() + 5.0
@@ -37,6 +40,14 @@ def daemon(tmp_path):
         if time.monotonic() > deadline:
             raise RuntimeError("daemon never bound its socket")
         time.sleep(0.01)
+    return thread
+
+
+@pytest.fixture
+def daemon(tmp_path):
+    path = str(tmp_path / "reprod.sock")
+    server = ReproDaemon(path, turbo=True, quantum_s=30.0, poll_interval_s=0.005)
+    thread = _serve(server, path)
     try:
         yield server, path
     finally:
@@ -249,18 +260,166 @@ class TestProtocolEdges:
     def test_shutdown_command_stops_the_loop(self, tmp_path):
         path = str(tmp_path / "reprod.sock")
         server = ReproDaemon(path, turbo=True, poll_interval_s=0.005)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 5.0
-        while not _exists(path):
-            if time.monotonic() > deadline:
-                raise RuntimeError("daemon never bound its socket")
-            time.sleep(0.01)
+        thread = _serve(server, path)
         with _client(path) as ctl:
             assert ctl.call("shutdown") == {"stopping": True, "runs": 0}
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert not _exists(path)  # the socket file was unlinked
+
+
+class TestLoop:
+    def test_turbo_run_does_not_wait_for_the_poll_interval(self, tmp_path):
+        # 18 quanta of 10 sim-s; waiting the 30 s poll before each one
+        # would take nine minutes.  Nothing touches the socket until the
+        # run is done, so no client request can wake the loop early.
+        path = str(tmp_path / "reprod.sock")
+        server = ReproDaemon(path, turbo=True, poll_interval_s=30.0)
+        spec = ScenarioSpec.from_json((EXAMPLES / "latency_basic.json").read_text())
+        run = server.submit(spec)
+        assert exactly(run.end_s, 180.0)
+        started = time.monotonic()
+        thread = _serve(server, path)
+        while run.result_payload is None and time.monotonic() - started < 15.0:
+            time.sleep(0.01)
+        elapsed = time.monotonic() - started
+        with _client(path) as ctl:
+            ctl.call("shutdown")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert run.result_payload is not None, run.status()
+        assert elapsed < 10.0
+
+    def test_idle_and_paused_daemons_never_spin(self, tmp_path, monkeypatch):
+        timeouts = []
+
+        class CountingSelector(selectors.DefaultSelector):
+            def select(self, timeout=None):
+                timeouts.append(timeout)
+                return super().select(timeout)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", CountingSelector)
+        path = str(tmp_path / "reprod.sock")
+        server = ReproDaemon(path, turbo=True, poll_interval_s=0.02)
+        thread = _serve(server, path)
+        time.sleep(0.2)  # no runs at all
+        with _client(path) as ctl:
+            ctl.call("submit", spec=SPEC.to_dict(), name="held", paused=True)
+            time.sleep(0.2)  # one paused run
+            assert exactly(ctl.call("status", run="held")["now_s"], 0.0)
+            ctl.call("shutdown")
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert timeouts
+        assert all(exactly(t, 0.02) for t in timeouts), sorted(set(timeouts))
+        # About 0.4 s of 20 ms waits, plus a wake-up per client event.
+        assert len(timeouts) < 60
+
+
+class TestSlowReaders:
+    """Replies larger than the socket buffer reach a slow reader whole."""
+
+    class SmallSendBuffer(ReproDaemon):
+        def _accept(self, listener):
+            super()._accept(listener)
+            sock = self._connections[-1].sock
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+    @pytest.fixture
+    def slow(self, tmp_path):
+        path = str(tmp_path / "reprod.sock")
+        server = self.SmallSendBuffer(path, turbo=True, poll_interval_s=0.005)
+        # A long run fills the audit log to a few hundred KB of JSON.
+        spec = ScenarioSpec.latency(
+            "sirius", "powerchief", ("constant", 1.5), 6000.0, seed=3
+        )
+        server.submit(spec, "big").drain_now()
+        thread = _serve(server, path)
+        yield server, path
+        server.shutdown()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _slow_lines(sock, count):
+        """Read ``count`` lines in small chunks, pausing between chunks."""
+        buffer = b""
+        while buffer.count(b"\n") < count:
+            time.sleep(0.002)
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            buffer += chunk
+        return buffer.split(b"\n")[:-1], buffer
+
+    def test_large_audit_reply_arrives_whole(self, slow):
+        server, path = slow
+        expected = server.runs["big"].audit_entries()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            sock.connect(path)
+            requests = [
+                {"id": 41, "cmd": "audit", "args": {"run": "big"}},
+                {"id": 42, "cmd": "ping", "args": {}},
+            ]
+            sock.sendall(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+            time.sleep(0.1)  # the daemon has queued both replies by now
+            lines, _ = self._slow_lines(sock, 2)
+        assert len(lines[0]) > 250_000
+        audit = json.loads(lines[0])
+        assert audit["id"] == 41
+        assert audit["ok"] is True
+        assert audit["result"]["count"] == len(expected)
+        assert audit["result"]["entries"] == json.loads(json.dumps(expected))
+        assert json.loads(lines[1]) == {
+            "id": 42, "ok": True, "result": {"pong": True, "runs": 1}
+        }
+
+    def test_shutdown_flushes_replies_still_queued(self, slow):
+        server, path = slow
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            sock.connect(path)
+            requests = [
+                {"id": 1, "cmd": "audit", "args": {"run": "big"}},
+                {"id": 2, "cmd": "shutdown", "args": {}},
+            ]
+            sock.sendall(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+            lines, buffer = self._slow_lines(sock, 3)
+        assert [json.loads(line)["id"] for line in lines] == [1, 2]
+        assert json.loads(lines[1])["result"] == {"stopping": True, "runs": 1}
+        assert buffer.endswith(b"\n")  # closed after the last whole line
+
+
+    def test_a_client_that_stops_reading_is_dropped_not_buffered(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "MAX_QUEUED_BYTES", 64 * 1024)
+        path = str(tmp_path / "reprod.sock")
+        server = self.SmallSendBuffer(path, turbo=True, poll_interval_s=0.005)
+        endless = ScenarioSpec.latency(
+            "sirius", "powerchief", ("constant", 1.5), 1e6, seed=3
+        )
+        server.submit(endless, "long")
+        thread = _serve(server, path)
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as stalled:
+                stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                stalled.connect(path)
+                request = {"id": 1, "cmd": "watch", "args": {"run": "long"}}
+                stalled.sendall(json.dumps(request).encode() + b"\n")
+                deadline = time.monotonic() + 10.0
+                while len(server._connections) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert server._connections == []
+                with _client(path) as ctl:
+                    assert ctl.call("ping") == {"pong": True, "runs": 1}
+        finally:
+            server.shutdown()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
 
 class TestConstruction:

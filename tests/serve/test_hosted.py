@@ -247,3 +247,18 @@ class TestStreaming:
         assert len(everything) >= len(changes)
         assert run.audit_entries(kind="budget-change", tail=1) == changes[-1:]
         assert run.audit_entries(kind="no-such-kind") == []
+
+    @pytest.mark.parametrize("kind", [None, "budget-change", "bottleneck", "nope"])
+    @pytest.mark.parametrize("tail", [None, 0, 1, 5, 100_000])
+    def test_audit_entries_match_converting_the_whole_log(self, kind, tail):
+        run = HostedRun("audit", SPEC)
+        run.advance_to(30.0)
+        run.apply_budget(40.0)
+        run.advance_to(45.0)
+        run.apply_budget(41.0)
+        expected = run.builder.observability.audit.to_dicts()
+        if kind is not None:
+            expected = [entry for entry in expected if entry["kind"] == kind]
+        if tail is not None:
+            expected = expected[len(expected) - min(tail, len(expected)):]
+        assert run.audit_entries(kind=kind, tail=tail) == expected

@@ -129,6 +129,23 @@ class TestCommandCenterIngestion:
         summary = command_center.summary()
         assert summary.count == 3
 
+    def test_all_latencies_is_a_list_of_the_ingested_latencies(
+        self, sim, two_stage_app, command_center
+    ):
+        ingested = []
+        two_stage_app.add_completion_listener(
+            lambda query: ingested.append(query.end_to_end_latency)
+        )
+        for qid in range(4):
+            submit_two_stage_query(two_stage_app, qid, b=0.5 + 0.25 * qid)
+        sim.run()
+        latencies = command_center.all_latencies
+        assert type(latencies) is list
+        assert all(type(value) is float for value in latencies)
+        assert latencies == ingested
+        latencies.append(99.0)  # a copy: the caller cannot edit the record
+        assert len(command_center.all_latencies) == 4
+
     def test_recent_latency_window(self, sim, two_stage_app, command_center):
         submit_two_stage_query(two_stage_app, 1)
         sim.run()
