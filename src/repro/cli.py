@@ -69,7 +69,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.obs import Observability, setup_logging
-from repro.experiments.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
+from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
 from repro.experiments.export import (
     qos_result_to_dict,
     run_result_to_dict,

@@ -1,6 +1,6 @@
 """Experiment harness: configurations, runners and per-figure drivers."""
 
-from repro.experiments.config import (
+from repro.scenario.config import (
     TABLE2_CONTROLLER_CONFIG,
     TABLE2_INITIAL_FREQ_GHZ,
     TABLE2_POWER_BUDGET_WATTS,
@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     run_latency_experiment,
     run_qos_experiment,
 )
-from repro.experiments.sampling import (
+from repro.scenario.sampling import (
     QosSample,
     QosSampler,
     StageSnapshot,

@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.errors import ExperimentError
 from repro.cluster.frequency import HASWELL_LADDER
 from repro.cluster.power import DEFAULT_POWER_MODEL
-from repro.experiments.config import (
+from repro.scenario.config import (
     TABLE2_INITIAL_FREQ_GHZ,
     TABLE2_POWER_BUDGET_WATTS,
 )

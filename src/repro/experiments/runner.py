@@ -35,7 +35,7 @@ from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     Table3Setup,
 )
-from repro.scenario.builder import StackBuilder, _profiles_for  # noqa: F401
+from repro.scenario.builder import StackBuilder
 from repro.scenario.results import (
     QosRunResult,
     RunResult,

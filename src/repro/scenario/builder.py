@@ -5,14 +5,19 @@ into a running stack through an explicit lifecycle::
 
     build -> arm -> start -> run -> drain -> collect
 
-``build`` constructs the simulator, machine(s), application(s), budget,
-command center, controller and load generator; ``arm`` attaches
-observability and installs chaos; ``start`` schedules the initial
-events; ``run`` advances the simulation through the arrival window;
-``drain`` lets retries settle past the last arrival; ``collect``
-finalises observability, re-asserts the power budget and returns the
-result record.  :meth:`StackBuilder.execute` walks all six phases, and
-:func:`run_scenario` is the one-call convenience around it.
+Every run is a list of stacks, each one PowerChief unit — machine,
+application, budget, command center, controller, sampler, chaos
+harness, RNG streams and telemetry — made by the one stack builder: a
+latency run has one stack, a sharded run one per shard on the shared
+simulator, a QoS run one at the machine's peak budget.  ``build``
+constructs the simulator, the stacks and the shared load generator;
+``arm`` binds every observability pillar to every stack and installs
+chaos; ``start`` schedules the initial events; ``run`` advances the
+simulation through the arrival window; ``drain`` lets retries settle
+past the last arrival; ``collect`` finalises observability, re-asserts
+the power budgets and returns the result record — the one phase where
+the three run shapes differ.  :meth:`StackBuilder.execute` walks all six
+phases, and :func:`run_scenario` is the one-call convenience around it.
 
 The run/drain phases are driven incrementally underneath: once
 ``start`` has armed the initial events, :meth:`StackBuilder.tick`
@@ -34,6 +39,7 @@ caller wants to keep) is handed to the builder as a live override.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -65,7 +71,7 @@ from repro.core.baselines import (
     StaticController,
 )
 from repro.core.conserve import PowerChiefConserveController
-from repro.core.controller import BaseController, ControllerConfig, PowerChiefController
+from repro.core.controller import BaseController, PowerChiefController
 from repro.core.pegasus import PegasusController
 from repro.guard.supervisor import SupervisedController
 from repro.scenario.config import (
@@ -206,65 +212,17 @@ def _uniform_allocation(
     return allocation
 
 
-def _attach_observability(
-    sim: Simulator,
-    machine: Machine,
-    controller: Optional[BaseController],
-    observability: Optional[Observability],
-    telemetry_interval_s: float,
-) -> "tuple[Optional[PowerTelemetry], Callable[[], None]]":
-    """Arm every observability hook a run needs; returns a finalizer.
-
-    With ``observability=None`` this is a no-op returning a no-op — the
-    standard benchmark path stays exactly as fast as before.
-    """
-    if observability is None:
-        return None, lambda: None
-    bind_simulator(lambda: sim.now)
-    telemetry: Optional[PowerTelemetry] = None
-    hook = None
-    if observability.metrics is not None:
-        events = observability.metrics.counter(
-            "repro_sim_events_total", "Simulation events fired"
-        )
-
-        def hook(event) -> None:
-            events.inc()
-
-        sim.add_event_hook(hook)
-        telemetry = PowerTelemetry(
-            sim,
-            machine,
-            sample_interval_s=telemetry_interval_s,
-            registry=observability.metrics,
-        )
-        telemetry.start()
-    if controller is not None and observability.audit is not None:
-        controller.attach_audit(observability.audit)
-    if controller is not None and observability.slo is not None:
-        controller.attach_slo(observability.slo)
-
-    def finalize() -> None:
-        if telemetry is not None:
-            telemetry.stop()
-        if hook is not None:
-            sim.remove_event_hook(hook)
-        unbind_simulator()
-
-    return telemetry, finalize
-
-
 def _observability_from_spec(
     spec: ScenarioSpec,
-    table3_setup: Optional[Table3Setup] = None,
+    setup: Optional[Table3Setup],
 ) -> Optional[Observability]:
     """An observability bundle with exactly the pillars the spec arms.
 
     The accounting pillars are constructed here but stay unattached; the
     builder's ``arm`` phase binds them to whatever ``build`` produced.
     An SLO pillar resolves its target from the ``slo_target_s`` option
-    (mandatory for latency scenarios) or the Table-3 deployment's QoS
-    target (the qos default).
+    (mandatory for latency scenarios) or the resolved Table-3
+    deployment's QoS target (the qos default).
     """
     if not spec.observe:
         return None
@@ -275,16 +233,7 @@ def _observability_from_spec(
     if "slo" in observe:
         target = options.get("slo_target_s")
         if target is None:
-            setup = table3_setup
-            if setup is None:
-                try:
-                    setup = TABLE3_SETUPS[spec.app]
-                except KeyError:
-                    known = ", ".join(sorted(TABLE3_SETUPS))
-                    raise ConfigurationError(
-                        f"unknown QoS deployment {spec.app!r} "
-                        f"(known: {known})"
-                    ) from None
+            assert setup is not None  # the spec demands a latency target
             target = setup.qos_target_s
         slo = SloTracker(
             target_s=float(target),
@@ -318,18 +267,39 @@ def _observability_from_spec(
     )
 
 
-class _ShardStack:
-    """Everything one shard owns beyond its :class:`Shard` record."""
+@dataclass
+class _Stack:
+    """One PowerChief unit: an application's stage pools on one CMP.
 
-    def __init__(
-        self,
-        machine: Machine,
-        harness: Optional["ChaosHarness"],
-        streams: RandomStreams,
-    ) -> None:
-        self.machine = machine
-        self.harness = harness
-        self.streams = streams
+    A latency or QoS run is one stack; a sharded run is one stack per
+    shard, all on the shared simulator.  ``tag`` scopes the stack's
+    :attr:`StackBuilder.abort_errors` labels (``"[shard0]"`` and so on;
+    empty for a lone stack).
+    """
+
+    tag: str
+    streams: RandomStreams
+    machine: Machine
+    application: Application
+    budget: PowerBudget
+    command_center: CommandCenter
+    controller: Optional[BaseController]
+    sampler: Union[StateSampler, QosSampler, None]
+    harness: Optional["ChaosHarness"]
+    telemetry: Optional[PowerTelemetry] = None
+
+
+def _actions(controller: Optional[BaseController]) -> tuple:
+    return () if controller is None else tuple(controller.actions)
+
+
+def _summarize_completed(latencies: list[float], context: str) -> LatencySummary:
+    if not latencies:
+        raise ExperimentError(
+            f"{context}: no queries completed; extend the duration or "
+            f"raise the arrival rate"
+        )
+    return summarize(latencies)
 
 
 class StackBuilder:
@@ -351,20 +321,11 @@ class StackBuilder:
         chaos: Optional["ChaosHarness"] = None,
         table3_setup: Optional[Table3Setup] = None,
     ) -> None:
-        self.spec = spec
-        self._trace_override = trace
-        self._contention_override = contention
-        self._observability = (
-            observability
-            if observability is not None
-            else _observability_from_spec(spec, table3_setup)
-        )
-        self._chaos_override = chaos
-        self._table3_override = table3_setup
-        self._phase = "new"
-        if spec.kind == "qos" and (trace is not None or chaos is not None):
+        if spec.kind == "qos" and (
+            trace is not None or contention is not None or chaos is not None
+        ):
             raise ConfigurationError(
-                "qos scenarios take no trace/chaos overrides"
+                "qos scenarios take no trace/contention/chaos overrides"
             )
         if chaos is not None and spec.shards > 1:
             raise ConfigurationError(
@@ -376,10 +337,37 @@ class StackBuilder:
                 "give the chaos plan either in the spec or as a live "
                 "harness, not both"
             )
+        setup = table3_setup
+        if setup is None and spec.kind == "qos":
+            try:
+                setup = TABLE3_SETUPS[spec.app]
+            except KeyError:
+                known = ", ".join(sorted(TABLE3_SETUPS))
+                raise ConfigurationError(
+                    f"unknown QoS deployment {spec.app!r} (known: {known})"
+                ) from None
+        self.spec = spec
+        self._setup = setup if spec.kind == "qos" else None
+        #: The profile set every stack deploys.
+        self._app = self._setup.app if self._setup is not None else spec.app
+        self._trace_override = trace
+        self._contention_override = contention
+        self._chaos_override = chaos
+        self._observability = (
+            observability
+            if observability is not None
+            else _observability_from_spec(spec, self._setup)
+        )
+        self._phase = "new"
         #: Teardown steps that raised during :meth:`abort`, as
         #: ``(label, exception)`` pairs; abort never raises itself.
         self.abort_errors: list[tuple[str, Exception]] = []
-        # Populated by build()/arm():
+        self._stacks: list[_Stack] = []
+        #: Observability teardown steps, pushed as ``arm`` attaches and
+        #: popped (last first) by ``collect`` or ``abort``.
+        self._teardown: list[Callable[[], None]] = []
+        # Populated by build()/arm(); the per-stack components stay None
+        # on a sharded run, whose stacks hang off ``deployment``.
         self.sim: Optional[Simulator] = None
         self.machine: Optional[Machine] = None
         self.application: Optional[Application] = None
@@ -390,13 +378,6 @@ class StackBuilder:
         self.deployment: Optional[ShardedDeployment] = None
         self.chaos: Optional["ChaosHarness"] = None
         self.telemetry: Optional[PowerTelemetry] = None
-        self._sampler: Optional[StateSampler] = None
-        self._qos_sampler: Optional[QosSampler] = None
-        self._setup: Optional[Table3Setup] = None
-        self._reference_power = 0.0
-        self._streams: Optional[RandomStreams] = None
-        self._shard_stacks: list[_ShardStack] = []
-        self._finalize_obs: Callable[[], None] = lambda: None
 
     # ------------------------------------------------------------------
     # Phase bookkeeping
@@ -437,371 +418,319 @@ class StackBuilder:
     def build(self) -> "StackBuilder":
         """Construct every component the scenario names (no events yet)."""
         self._advance("new", "built")
-        if self.spec.kind == "qos":
-            self._build_qos()
-        elif self.spec.shards > 1:
-            self._build_sharded()
+        spec = self.spec
+        sim = Simulator()
+        # Streams are name-derived (creation order never shifts seeds), so
+        # building them before the stacks is byte-neutral.
+        streams = RandomStreams(spec.seed)
+        target: Union[Application, ShardedDeployment]
+        if spec.shards > 1:
+
+            def shard_factory(sim: Simulator, index: int) -> Shard:
+                # Each shard forks its own stream universe, so shard count
+                # never perturbs the shared arrival/demand streams and every
+                # shard's faults draw from an independent seeded source.
+                stack = self._build_stack(
+                    sim,
+                    streams.fork(f"shard{index}"),
+                    f"{spec.app}[{index}]",
+                    self._harness(),
+                    tag=f"[shard{index}]",
+                )
+                return Shard(
+                    index=index,
+                    application=stack.application,
+                    command_center=stack.command_center,
+                    budget=stack.budget,
+                    controller=stack.controller,
+                )
+
+            target = self.deployment = ShardedDeployment(
+                sim, spec.shards, shard_factory, splitter=SPLITTERS[spec.splitter]()
+            )
         else:
-            self._build_latency()
+            stack = self._build_stack(sim, streams, self._app, self._harness())
+            target = self.application = stack.application
+            self.machine = stack.machine
+            self.budget = stack.budget
+            self.command_center = stack.command_center
+            self.controller = stack.controller
+            self.chaos = stack.harness
+        # One shared workload: arrivals and demands are byte-identical
+        # regardless of shard count — only the routing differs.
+        if spec.kind == "qos":
+            trace: LoadTrace = ConstantLoad(spec.rate_qps)
+        elif self._trace_override is not None:
+            trace = self._trace_override
+        else:
+            trace = build_trace(spec.trace)
+        self.generator = PoissonLoadGenerator(
+            sim,
+            target,
+            QueryFactory(_profiles_for(self._app), streams),
+            trace,
+            streams,
+            spec.duration_s,
+        )
+        self.sim = sim
         return self
 
-    def _resolve_trace(self) -> LoadTrace:
-        if self._trace_override is not None:
-            return self._trace_override
-        return build_trace(self.spec.trace)
+    def _harness(self) -> Optional["ChaosHarness"]:
+        """The live harness override, else a fresh one for the spec's
+        chaos plan (None without either)."""
+        if self._chaos_override is not None:
+            return self._chaos_override
+        if self.spec.chaos is None:
+            return None
+        from repro.faults.chaos import ChaosHarness
 
-    def _resolve_contention(self) -> Optional[ContentionModel]:
-        if self._contention_override is not None:
-            return self._contention_override
-        return contention_from_spec(self.spec.contention)
+        return ChaosHarness(self.spec.chaos_plan())
 
-    def _resolve_controller_config(self) -> ControllerConfig:
-        config = self.spec.controller_config()
-        return config if config is not None else TABLE2_CONTROLLER_CONFIG
-
-    def _build_latency(self) -> None:
+    def _build_stack(
+        self,
+        sim: Simulator,
+        streams: RandomStreams,
+        name: str,
+        harness: Optional["ChaosHarness"],
+        tag: str = "",
+    ) -> _Stack:
+        """One machine, application, budget, command center, controller
+        and sampler, with the chaos fabric wired in when a plan needs it."""
         spec = self.spec
-        trace = self._resolve_trace()
-        contention = self._resolve_contention()
-        budget_watts = (
-            spec.budget_watts
-            if spec.budget_watts is not None
-            else TABLE2_POWER_BUDGET_WATTS
+        setup = self._setup
+        contention = (
+            self._contention_override
+            if self._contention_override is not None
+            else contention_from_spec(spec.contention)
         )
-        freq = (
-            spec.initial_freq_ghz
-            if spec.initial_freq_ghz is not None
-            else TABLE2_INITIAL_FREQ_GHZ
-        )
-        sim = Simulator()
         machine = Machine(sim, n_cores=spec.n_cores, contention=contention)
-        initial_level = HASWELL_LADDER.level_of(freq)
-        allocation = spec.allocation_mapping()
-        if allocation is None:
-            allocation = _uniform_allocation(spec.app, initial_level, 1)
-        # Streams are name-derived (creation order never shifts seeds), so
-        # building them early for the chaos fabric is byte-neutral.
-        streams = RandomStreams(spec.seed)
-        chaos = self._chaos_override
-        if chaos is None and spec.chaos is not None:
-            from repro.faults.chaos import ChaosHarness
-
-            chaos = ChaosHarness(spec.chaos_plan())
-        fabric = None if chaos is None else chaos.build_fabric(sim, streams)
+        if setup is not None:
+            allocation = _uniform_allocation(
+                setup.app,
+                HASWELL_LADDER.level_of(setup.initial_freq_ghz),
+                dict(setup.instances_per_stage),
+            )
+        else:
+            freq = (
+                spec.initial_freq_ghz
+                if spec.initial_freq_ghz is not None
+                else TABLE2_INITIAL_FREQ_GHZ
+            )
+            allocation = spec.allocation_mapping()
+            if allocation is None:
+                allocation = _uniform_allocation(
+                    spec.app, HASWELL_LADDER.level_of(freq), 1
+                )
+        fabric = None if harness is None else harness.build_fabric(sim, streams)
         application = _build_app(
-            spec.app,
+            self._app,
             sim,
             machine,
             allocation,
             self._observability,
             fabric=fabric,
+            name=name,
         )
-        budget = PowerBudget(machine, budget_watts)
-        budget.assert_within()
-        command_center = CommandCenter(
-            sim, application, window_s=spec.stats_window_s
-        )
-        dvfs = DvfsActuator(sim)
-        guard = spec.guard_config()
-        if guard is not None:
-            controller: BaseController = SupervisedController(
+        sampler: Union[StateSampler, QosSampler, None] = None
+        if setup is not None:
+            # QoS mode has no budget ceiling: the machine's peak is the cap.
+            reference_power = application.total_power()
+            budget = PowerBudget(machine, machine.peak_power())
+            e2e_window_s = dict(spec.options).get("e2e_window_s")
+            window = (
+                float(e2e_window_s)
+                if e2e_window_s is not None
+                else max(3.0 * setup.adjust_interval_s, 10.0)
+            )
+            command_center = CommandCenter(
+                sim, application, window_s=window, e2e_window_s=window
+            )
+            controller = self._make_controller(
+                sim, application, command_center, budget
+            )
+            sampler = QosSampler(
                 sim,
                 application,
                 command_center,
-                budget,
-                dvfs,
-                self._resolve_controller_config(),
-                policy=LATENCY_CONTROLLERS[spec.policy],
-                guard=guard,
+                qos_target_s=setup.qos_target_s,
+                reference_power_watts=reference_power,
+                sample_interval_s=spec.sample_interval_s,
             )
         else:
-            controller = LATENCY_CONTROLLERS[spec.policy](
-                sim,
-                application,
-                command_center,
-                budget,
-                dvfs,
-                self._resolve_controller_config(),
-            )
-        factory = QueryFactory(_profiles_for(spec.app), streams)
-        generator = PoissonLoadGenerator(
-            sim, application, factory, trace, streams, spec.duration_s
-        )
-        sampler = StateSampler(sim, application, spec.sample_interval_s)
-        self.sim = sim
-        self.machine = machine
-        self.application = application
-        self.budget = budget
-        self.command_center = command_center
-        self.controller = controller
-        self.generator = generator
-        self.chaos = chaos
-        self._sampler = sampler
-        self._streams = streams
-
-    def _build_sharded(self) -> None:
-        spec = self.spec
-        trace = self._resolve_trace()
-        budget_watts = (
-            spec.budget_watts
-            if spec.budget_watts is not None
-            else TABLE2_POWER_BUDGET_WATTS
-        )
-        freq = (
-            spec.initial_freq_ghz
-            if spec.initial_freq_ghz is not None
-            else TABLE2_INITIAL_FREQ_GHZ
-        )
-        sim = Simulator()
-        streams = RandomStreams(spec.seed)
-        initial_level = HASWELL_LADDER.level_of(freq)
-        allocation = spec.allocation_mapping()
-        if allocation is None:
-            allocation = _uniform_allocation(spec.app, initial_level, 1)
-        config = self._resolve_controller_config()
-        observability = self._observability
-
-        def shard_factory(sim: Simulator, index: int) -> Shard:
-            # Each shard forks its own stream universe, so shard count
-            # never perturbs the shared arrival/demand streams and every
-            # shard's faults draw from an independent seeded source.
-            shard_streams = streams.fork(f"shard{index}")
-            harness: Optional["ChaosHarness"] = None
-            if spec.chaos is not None:
-                from repro.faults.chaos import ChaosHarness
-
-                harness = ChaosHarness(spec.chaos_plan())
-            contention = self._resolve_contention()
-            machine = Machine(sim, n_cores=spec.n_cores, contention=contention)
-            fabric = (
-                None
-                if harness is None
-                else harness.build_fabric(sim, shard_streams)
-            )
-            application = _build_app(
-                spec.app,
-                sim,
+            budget = PowerBudget(
                 machine,
-                allocation,
-                observability,
-                fabric=fabric,
-                name=f"{spec.app}[{index}]",
+                spec.budget_watts
+                if spec.budget_watts is not None
+                else TABLE2_POWER_BUDGET_WATTS,
             )
-            budget = PowerBudget(machine, budget_watts)
             budget.assert_within()
             command_center = CommandCenter(
                 sim, application, window_s=spec.stats_window_s
             )
-            dvfs = DvfsActuator(sim)
-            controller = LATENCY_CONTROLLERS[spec.policy](
-                sim, application, command_center, budget, dvfs, config
+            controller = self._make_controller(
+                sim, application, command_center, budget
             )
-            self._shard_stacks.append(
-                _ShardStack(machine, harness, shard_streams)
-            )
-            return Shard(
-                index=index,
-                application=application,
-                command_center=command_center,
-                budget=budget,
-                controller=controller,
-            )
-
-        deployment = ShardedDeployment(
-            sim, spec.shards, shard_factory, splitter=SPLITTERS[spec.splitter]()
+            if spec.shards == 1:  # shards sample no state
+                sampler = StateSampler(sim, application, spec.sample_interval_s)
+        stack = _Stack(
+            tag=tag,
+            streams=streams,
+            machine=machine,
+            application=application,
+            budget=budget,
+            command_center=command_center,
+            controller=controller,
+            sampler=sampler,
+            harness=harness,
         )
-        # One shared workload: arrivals and demands are byte-identical
-        # regardless of shard count — only the routing differs.
-        factory = QueryFactory(_profiles_for(spec.app), streams)
-        generator = PoissonLoadGenerator(
-            sim, deployment, factory, trace, streams, spec.duration_s
-        )
-        self.sim = sim
-        self.deployment = deployment
-        self.generator = generator
-        self._streams = streams
+        self._stacks.append(stack)
+        return stack
 
-    def _build_qos(self) -> None:
+    def _make_controller(
+        self,
+        sim: Simulator,
+        application: Application,
+        command_center: CommandCenter,
+        budget: PowerBudget,
+    ) -> Optional[BaseController]:
+        """The spec's policy; ``None`` for the uncontrolled QoS baseline."""
         spec = self.spec
-        setup = self._table3_override
+        wiring = (sim, application, command_center, budget, DvfsActuator(sim))
+        setup = self._setup
         if setup is None:
-            try:
-                setup = TABLE3_SETUPS[spec.app]
-            except KeyError:
-                known = ", ".join(sorted(TABLE3_SETUPS))
-                raise ConfigurationError(
-                    f"unknown QoS deployment {spec.app!r} (known: {known})"
-                ) from None
+            config = spec.controller_config()
+            if config is None:
+                config = TABLE2_CONTROLLER_CONFIG
+            policy = LATENCY_CONTROLLERS[spec.policy]
+            guard = spec.guard_config()
+            if guard is None:
+                return policy(*wiring, config)
+            return SupervisedController(*wiring, config, policy=policy, guard=guard)
         options = dict(spec.options)
-        unknown = sorted(
-            set(options)
-            - {
-                "hold_fraction",
-                "conserve_fraction",
-                "guard_fraction",
-                "e2e_window_s",
-                # Accounting-plane knobs, consumed by the observability
-                # bundle rather than the controller.
-                "slo_target_s",
-                "slo_attainment",
-                "slo_window_s",
-                "stream_interval_s",
-                "stream_path",
-            }
-        )
-        if unknown:
-            raise ConfigurationError(
-                f"unknown qos options: {', '.join(unknown)}"
-            )
-        hold_fraction = float(options.get("hold_fraction", 0.85))
-        conserve_fraction = float(options.get("conserve_fraction", 0.75))
-        guard_fraction = float(options.get("guard_fraction", 0.92))
-        e2e_window_s = options.get("e2e_window_s")
-        sim = Simulator()
-        machine = Machine(sim, n_cores=spec.n_cores)
-        initial_level = HASWELL_LADDER.level_of(setup.initial_freq_ghz)
-        allocation = _uniform_allocation(
-            setup.app, initial_level, dict(setup.instances_per_stage)
-        )
-        application = _build_app(
-            setup.app, sim, machine, allocation, self._observability
-        )
-        reference_power = application.total_power()
-        # QoS mode has no budget ceiling: the machine's peak is the cap.
-        budget = PowerBudget(machine, machine.peak_power())
-        window = (
-            float(e2e_window_s)
-            if e2e_window_s is not None
-            else max(3.0 * setup.adjust_interval_s, 10.0)
-        )
-        command_center = CommandCenter(
-            sim, application, window_s=window, e2e_window_s=window
-        )
-        dvfs = DvfsActuator(sim)
-        controller: Optional[BaseController] = None
-        config = setup.controller_config()
+        qos = dict(qos_target_s=setup.qos_target_s, config=setup.controller_config())
         if spec.policy == "pegasus":
-            controller = PegasusController(
-                sim,
-                application,
-                command_center,
-                budget,
-                dvfs,
-                qos_target_s=setup.qos_target_s,
-                config=config,
-                hold_fraction=hold_fraction,
+            return PegasusController(
+                *wiring, hold_fraction=float(options.get("hold_fraction", 0.85)), **qos
             )
-        elif spec.policy == "powerchief":
-            controller = PowerChiefConserveController(
-                sim,
-                application,
-                command_center,
-                budget,
-                dvfs,
-                qos_target_s=setup.qos_target_s,
-                config=config,
-                conserve_fraction=conserve_fraction,
-                guard_fraction=guard_fraction,
+        if spec.policy == "powerchief":
+            return PowerChiefConserveController(
+                *wiring,
+                conserve_fraction=float(options.get("conserve_fraction", 0.75)),
+                guard_fraction=float(options.get("guard_fraction", 0.92)),
+                **qos,
             )
-        streams = RandomStreams(spec.seed)
-        factory = QueryFactory(_profiles_for(setup.app), streams)
-        generator = PoissonLoadGenerator(
-            sim,
-            application,
-            factory,
-            ConstantLoad(spec.rate_qps),
-            streams,
-            spec.duration_s,
-        )
-        sampler = QosSampler(
-            sim,
-            application,
-            command_center,
-            qos_target_s=setup.qos_target_s,
-            reference_power_watts=reference_power,
-            sample_interval_s=spec.sample_interval_s,
-        )
-        self.sim = sim
-        self.machine = machine
-        self.application = application
-        self.budget = budget
-        self.command_center = command_center
-        self.controller = controller
-        self.generator = generator
-        self._qos_sampler = sampler
-        self._setup = setup
-        self._reference_power = reference_power
-        self._streams = streams
+        return None
 
     # ------------------------------------------------------------------
     # Phase 2: arm
     # ------------------------------------------------------------------
     def arm(self) -> "StackBuilder":
-        """Attach observability hooks and install the chaos subsystem."""
+        """Attach observability hooks and install the chaos subsystem.
+
+        Every teardown step is queued the moment its hook is attached,
+        so :meth:`abort` unwinds exactly what a failing ``arm`` left.
+        """
         self._advance("built", "armed")
         assert self.sim is not None
-        if self.deployment is not None:
-            self._arm_sharded()
-            return self
-        assert self.machine is not None
-        self.telemetry, self._finalize_obs = _attach_observability(
-            self.sim,
-            self.machine,
-            self.controller,
-            self._observability,
-            self.spec.sample_interval_s,
-        )
-        self._arm_accounting()
-        if self.chaos is not None:
-            assert (
-                self.application is not None
-                and self.controller is not None
-                and self.budget is not None
-                and self._streams is not None
-            )
-            self.chaos.install(
+        obs = self._observability
+        if obs is not None:
+            self._arm_observability(self.sim, obs)
+        for stack in self._stacks:
+            if stack.harness is None:
+                continue
+            assert stack.controller is not None
+            stack.harness.install(
                 sim=self.sim,
-                machine=self.machine,
-                application=self.application,
-                controller=self.controller,
-                budget=self.budget,
-                telemetry=self.telemetry,
-                streams=self._streams,
-                observability=self._observability,
+                machine=stack.machine,
+                application=stack.application,
+                controller=stack.controller,
+                budget=stack.budget,
+                telemetry=stack.telemetry,
+                streams=stack.streams,
+                observability=obs,
             )
         return self
 
-    def _arm_accounting(self) -> None:
-        """Bind the accounting pillars to the single-stack build.
+    def _arm_observability(self, sim: Simulator, obs: Observability) -> None:
+        """Bind every pillar the bundle carries to every stack.
 
-        Collectors subscribe as listeners; the stream exporter hooks the
-        simulator; their teardowns are layered onto the observability
-        finalizer so :meth:`collect` (and failing runs) unwind them.
+        Collectors subscribe to each stack's application (attribution
+        and SLO aggregate across shards); the stream exporter and the
+        event counter hook the shared simulator.  Power telemetry runs
+        only on a lone stack with a metrics registry — shards sample
+        none — so the energy pillar is refused up front everywhere else.
         """
-        obs = self._observability
-        if obs is None:
-            return
-        assert self.sim is not None and self.application is not None
-        sim = self.sim
-        application = self.application
-        if obs.metrics is not None and application.fabric is not None:
-            application.fabric.attach_registry(obs.metrics)
-        if obs.attribution is not None:
-            obs.attribution.attach(application)
-        if obs.slo is not None:
-            obs.slo.attach(application)
-        closers: list[Callable[[], None]] = []
-        if obs.energy is not None:
-            if self.telemetry is None:
-                raise ConfigurationError(
-                    "the energy attributor needs power telemetry; arm the "
-                    "'metrics' pillar alongside 'energy'"
+        samples_power = obs.metrics is not None and self.deployment is None
+        if obs.energy is not None and not samples_power:
+            raise ConfigurationError(
+                "the energy attributor needs power telemetry, which only a "
+                "single (unsharded) stack arming 'metrics' samples"
+            )
+        bind_simulator(lambda: sim.now)
+        self._teardown.append(unbind_simulator)
+        if obs.metrics is not None:
+            events = obs.metrics.counter(
+                "repro_sim_events_total", "Simulation events fired"
+            )
+
+            def hook(event) -> None:
+                events.inc()
+
+            sim.add_event_hook(hook)
+            self._teardown.append(lambda: sim.remove_event_hook(hook))
+        for stack in self._stacks:
+            if samples_power:
+                telemetry = stack.telemetry = PowerTelemetry(
+                    sim,
+                    stack.machine,
+                    sample_interval_s=self.spec.sample_interval_s,
+                    registry=obs.metrics,
                 )
-            obs.energy.attach(application.stages, self.telemetry)
-            closers.append(obs.energy.detach)
+                telemetry.start()
+                self._teardown.append(telemetry.stop)
+            if stack.controller is not None and obs.audit is not None:
+                stack.controller.attach_audit(obs.audit)
+            if stack.controller is not None and obs.slo is not None:
+                stack.controller.attach_slo(obs.slo)
+            application = stack.application
+            if obs.metrics is not None and application.fabric is not None:
+                application.fabric.attach_registry(obs.metrics)
+            if obs.attribution is not None:
+                obs.attribution.attach(application)
+            if obs.slo is not None:
+                obs.slo.attach(application)
+            if obs.energy is not None:
+                assert stack.telemetry is not None
+                obs.energy.attach(application.stages, stack.telemetry)
+                self._teardown.append(obs.energy.detach)
+        self.telemetry = self._stacks[0].telemetry
         if obs.stream is not None:
-            stream = obs.stream
-            machine = self.machine
+            self._add_stream_probes(sim, obs.stream, obs.slo)
+            obs.stream.attach(sim)
+            self._teardown.append(obs.stream.close)
+
+    def _add_stream_probes(
+        self,
+        sim: Simulator,
+        stream: StreamExporter,
+        slo: Optional[SloTracker],
+    ) -> None:
+        """The standard probes: query counts, plus power and per-stage
+        state on a lone stack or per-shard completions on a fleet."""
+        deployment = self.deployment
+        if deployment is not None:
+            stream.add_probe(
+                "queries",
+                lambda: {
+                    "completed": deployment.completed,
+                    "per_shard": {
+                        str(shard.index): shard.application.completed
+                        for shard in deployment.shards
+                    },
+                },
+            )
+        else:
+            application = self._stacks[0].application
             stream.add_probe(
                 "queries",
                 lambda: {
@@ -811,8 +740,7 @@ class StackBuilder:
                     "in_flight": application.in_flight,
                 },
             )
-            if machine is not None:
-                stream.add_probe("power_watts", machine.total_power)
+            stream.add_probe("power_watts", self._stacks[0].machine.total_power)
             stream.add_probe(
                 "stages",
                 lambda: {
@@ -820,109 +748,7 @@ class StackBuilder:
                     for stage in application.stages
                 },
             )
-            if obs.slo is not None:
-                slo = obs.slo
-                stream.add_probe(
-                    "slo",
-                    lambda: {
-                        "attainment": slo.attainment(),
-                        "burn_rate": slo.burn_rate(sim.now),
-                    },
-                )
-            stream.attach(sim)
-            closers.append(stream.close)
-        if closers:
-            inner = self._finalize_obs
-
-            def finalize() -> None:
-                for close in closers:
-                    close()
-                inner()
-
-            self._finalize_obs = finalize
-
-    def _arm_sharded(self) -> None:
-        assert self.sim is not None and self.deployment is not None
-        observability = self._observability
-        finalize: Callable[[], None] = lambda: None
-        if observability is not None:
-            sim = self.sim
-            bind_simulator(lambda: sim.now)
-            hook = None
-            if observability.metrics is not None:
-                events = observability.metrics.counter(
-                    "repro_sim_events_total", "Simulation events fired"
-                )
-
-                def hook(event) -> None:
-                    events.inc()
-
-                sim.add_event_hook(hook)
-            if observability.audit is not None:
-                for shard in self.deployment.shards:
-                    if shard.controller is not None:
-                        shard.controller.attach_audit(observability.audit)
-
-            def finalize() -> None:
-                if hook is not None:
-                    sim.remove_event_hook(hook)
-                unbind_simulator()
-
-        self._finalize_obs = finalize
-        if observability is not None:
-            self._arm_accounting_sharded(observability)
-        for shard, stack in zip(self.deployment.shards, self._shard_stacks):
-            if stack.harness is None:
-                continue
-            assert shard.controller is not None
-            stack.harness.install(
-                sim=self.sim,
-                machine=stack.machine,
-                application=shard.application,
-                controller=shard.controller,
-                budget=shard.budget,
-                telemetry=None,
-                streams=stack.streams,
-                observability=observability,
-            )
-
-    def _arm_accounting_sharded(self, obs: Observability) -> None:
-        """Bind the accounting pillars across every shard.
-
-        Attribution and SLO collectors subscribe to all shard
-        applications and aggregate across them; the stream exporter
-        snapshots deployment-wide totals.  Energy attribution is
-        unsupported here — shards sample no power telemetry.
-        """
-        assert self.sim is not None and self.deployment is not None
-        if obs.energy is not None:
-            raise ConfigurationError(
-                "energy attribution is not available on sharded scenarios"
-            )
-        deployment = self.deployment
-        for shard in deployment.shards:
-            if obs.metrics is not None and shard.application.fabric is not None:
-                shard.application.fabric.attach_registry(obs.metrics)
-            if obs.attribution is not None:
-                obs.attribution.attach(shard.application)
-            if obs.slo is not None:
-                obs.slo.attach(shard.application)
-        if obs.stream is None:
-            return
-        stream = obs.stream
-        sim = self.sim
-        stream.add_probe(
-            "queries",
-            lambda: {
-                "completed": deployment.completed,
-                "per_shard": {
-                    str(shard.index): shard.application.completed
-                    for shard in deployment.shards
-                },
-            },
-        )
-        if obs.slo is not None:
-            slo = obs.slo
+        if slo is not None:
             stream.add_probe(
                 "slo",
                 lambda: {
@@ -930,36 +756,27 @@ class StackBuilder:
                     "burn_rate": slo.burn_rate(sim.now),
                 },
             )
-        stream.attach(sim)
-        inner = self._finalize_obs
-
-        def finalize() -> None:
-            stream.close()
-            inner()
-
-        self._finalize_obs = finalize
 
     # ------------------------------------------------------------------
     # Phase 3: start
     # ------------------------------------------------------------------
     def start(self) -> "StackBuilder":
-        """Schedule the initial events (controllers, samplers, arrivals)."""
+        """Schedule the initial events (controllers, samplers, arrivals).
+
+        The order is load-bearing — same-time events tie-break on their
+        sequence number: each stack's controller then its sampler, then
+        every chaos harness, then the load generator.
+        """
         self._advance("armed", "started")
         assert self.generator is not None
-        if self.deployment is not None:
-            self.deployment.start()
-            for stack in self._shard_stacks:
-                if stack.harness is not None:
-                    stack.harness.start()
-        else:
-            if self.controller is not None:
-                self.controller.start()
-            if self._sampler is not None:
-                self._sampler.start()
-            if self._qos_sampler is not None:
-                self._qos_sampler.start()
-            if self.chaos is not None:
-                self.chaos.start()
+        for stack in self._stacks:
+            if stack.controller is not None:
+                stack.controller.start()
+            if stack.sampler is not None:
+                stack.sampler.start()
+        for stack in self._stacks:
+            if stack.harness is not None:
+                stack.harness.start()
         self.generator.start()
         return self
 
@@ -1021,28 +838,21 @@ class StackBuilder:
             self._on_drain_complete()
 
     def _on_arrivals_complete(self) -> None:
-        """The arrival window closed: stop the controller and samplers
+        """The arrival window closed: stop the controllers and samplers
         (arrivals cease; retries may linger through the drain window)."""
         self._advance("started", "ran")
-        if self.deployment is not None:
-            self.deployment.stop()
-        else:
-            if self.controller is not None:
-                self.controller.stop()
-            if self._sampler is not None:
-                self._sampler.stop()
-            if self._qos_sampler is not None:
-                self._qos_sampler.stop()
+        for stack in self._stacks:
+            if stack.controller is not None:
+                stack.controller.stop()
+            if stack.sampler is not None:
+                stack.sampler.stop()
 
     def _on_drain_complete(self) -> None:
         """The drain window closed: tear down the chaos subsystem."""
         self._advance("ran", "drained")
-        if self.deployment is not None:
-            for stack in self._shard_stacks:
-                if stack.harness is not None:
-                    stack.harness.stop()
-        elif self.chaos is not None:
-            self.chaos.stop()
+        for stack in self._stacks:
+            if stack.harness is not None:
+                stack.harness.stop()
 
     def run(self) -> "StackBuilder":
         """Advance the simulation through the arrival window, then stop
@@ -1085,29 +895,20 @@ class StackBuilder:
             except Exception as exc:  # noqa: BLE001 - best-effort teardown
                 self.abort_errors.append((label, exc))
 
-        if self._phase == "started":
-            # Periodic processes are live; stop() is idempotent on all
-            # of them, so over-stopping is safe.
-            if self.deployment is not None:
-                safely("deployment", self.deployment.stop)
-            else:
-                if self.controller is not None:
-                    safely("controller", self.controller.stop)
-                if self._sampler is not None:
-                    safely("sampler", self._sampler.stop)
-                if self._qos_sampler is not None:
-                    safely("qos-sampler", self._qos_sampler.stop)
-        if self._phase in ("started", "ran"):
-            # Chaos outlives the arrival window; stop it from either.
-            if self.deployment is not None:
-                for index, stack in enumerate(self._shard_stacks):
-                    if stack.harness is not None:
-                        safely(f"chaos[shard{index}]", stack.harness.stop)
-            elif self.chaos is not None:
-                safely("chaos", self.chaos.stop)
+        for stack in self._stacks:
+            if self._phase == "started":
+                # Periodic processes are live; stop() is idempotent on
+                # all of them, so over-stopping is safe.
+                if stack.controller is not None:
+                    safely(f"controller{stack.tag}", stack.controller.stop)
+                if stack.sampler is not None:
+                    safely(f"sampler{stack.tag}", stack.sampler.stop)
+            if self._phase in ("started", "ran") and stack.harness is not None:
+                # Chaos outlives the arrival window; stop it from either.
+                safely(f"chaos{stack.tag}", stack.harness.stop)
         # Armed or later: observability hooks/listeners are attached.
-        safely("observability", self._finalize_obs)
-        self._finalize_obs = lambda: None
+        while self._teardown:
+            safely("observability", self._teardown.pop())
         self._phase = "aborted"
         return self
 
@@ -1119,12 +920,6 @@ class StackBuilder:
             if self.generator is not None
             else 0
         )
-        if self.deployment is not None:
-            completed = self.deployment.completed
-        elif self.application is not None:
-            completed = self.application.completed
-        else:
-            completed = 0
         return {
             "phase": self._phase,
             "app": self.spec.app,
@@ -1135,7 +930,9 @@ class StackBuilder:
             "end_s": self.end_s,
             "finished": self.finished,
             "queries_submitted": submitted,
-            "queries_completed": completed,
+            "queries_completed": sum(
+                stack.application.completed for stack in self._stacks
+            ),
         }
 
     # ------------------------------------------------------------------
@@ -1144,130 +941,92 @@ class StackBuilder:
     def collect(self) -> Union[RunResult, QosRunResult, ShardedRunResult]:
         """Finalise observability, re-check budgets, return the result."""
         self._advance("drained", "collected")
-        self._finalize_obs()
-        if self.spec.kind == "qos":
-            return self._collect_qos()
-        if self.deployment is not None:
-            return self._collect_sharded()
-        return self._collect_latency()
-
-    def _summarize_completed(
-        self, latencies: list[float], context: str
-    ) -> LatencySummary:
-        if not latencies:
-            raise ExperimentError(
-                f"{context}: no queries completed; extend the duration or "
-                f"raise the arrival rate"
-            )
-        return summarize(latencies)
-
-    def _collect_latency(self) -> RunResult:
+        while self._teardown:
+            self._teardown.pop()()
         spec = self.spec
-        assert (
-            self.machine is not None
-            and self.budget is not None
-            and self.command_center is not None
-            and self.generator is not None
-            and self.application is not None
-            and self.controller is not None
-            and self._sampler is not None
-        )
-        self.budget.assert_within()
-        energy = self.machine.total_energy()
+        assert self.generator is not None
+        for stack in self._stacks:
+            stack.budget.assert_within()
+        total_s = spec.duration_s + spec.drain_s
+        if self.deployment is not None:
+            shards = tuple(
+                ShardResult(
+                    index=index,
+                    queries_completed=stack.application.completed,
+                    latency=(
+                        summarize(stack.command_center.all_latencies)
+                        if stack.command_center.all_latencies
+                        else None
+                    ),
+                    average_power_watts=stack.machine.total_energy() / total_s,
+                    actions=_actions(stack.controller),
+                )
+                for index, stack in enumerate(self._stacks)
+            )
+            return ShardedRunResult(
+                app=spec.app,
+                policy=spec.policy,
+                duration_s=spec.duration_s,
+                n_shards=spec.shards,
+                splitter=spec.splitter,
+                queries_submitted=self.generator.queries_submitted,
+                queries_completed=self.deployment.completed,
+                latency=_summarize_completed(
+                    self.deployment.all_latencies(),
+                    f"{spec.app}/{spec.policy} x{spec.shards} sharded run",
+                ),
+                average_power_watts=sum(
+                    shard.average_power_watts for shard in shards
+                ),
+                shards=shards,
+            )
+        (stack,) = self._stacks
+        sampler = stack.sampler
+        if isinstance(sampler, QosSampler):
+            assert self._setup is not None
+            return QosRunResult(
+                app=self._setup.app,
+                policy=spec.policy,
+                duration_s=spec.duration_s,
+                qos_target_s=self._setup.qos_target_s,
+                reference_power_watts=sampler.reference_power_watts,
+                queries_submitted=self.generator.queries_submitted,
+                queries_completed=stack.application.completed,
+                latency=_summarize_completed(
+                    stack.command_center.all_latencies,
+                    f"{self._setup.app}/{spec.policy} QoS run",
+                ),
+                average_power_fraction=sampler.average_power_fraction(),
+                violation_fraction=sampler.violation_fraction(),
+                actions=_actions(stack.controller),
+                qos_samples=tuple(sampler.samples),
+            )
+        assert isinstance(sampler, StateSampler)
         return RunResult(
             app=spec.app,
             policy=spec.policy,
             duration_s=spec.duration_s,
             queries_submitted=self.generator.queries_submitted,
-            queries_completed=self.application.completed,
-            latency=self._summarize_completed(
-                self.command_center.all_latencies,
+            queries_completed=stack.application.completed,
+            latency=_summarize_completed(
+                stack.command_center.all_latencies,
                 f"{spec.app}/{spec.policy} latency run",
             ),
-            average_power_watts=energy / (spec.duration_s + spec.drain_s),
-            actions=tuple(self.controller.actions),
-            state_samples=tuple(self._sampler.samples),
-        )
-
-    def _collect_sharded(self) -> ShardedRunResult:
-        spec = self.spec
-        assert self.deployment is not None and self.generator is not None
-        self.deployment.assert_budgets()
-        total_s = spec.duration_s + spec.drain_s
-        shard_results = []
-        for shard, stack in zip(self.deployment.shards, self._shard_stacks):
-            latencies = shard.command_center.all_latencies
-            assert shard.controller is not None
-            shard_results.append(
-                ShardResult(
-                    index=shard.index,
-                    queries_completed=shard.application.completed,
-                    latency=summarize(latencies) if latencies else None,
-                    average_power_watts=stack.machine.total_energy() / total_s,
-                    actions=tuple(shard.controller.actions),
-                )
-            )
-        return ShardedRunResult(
-            app=spec.app,
-            policy=spec.policy,
-            duration_s=spec.duration_s,
-            n_shards=spec.shards,
-            splitter=spec.splitter,
-            queries_submitted=self.generator.queries_submitted,
-            queries_completed=self.deployment.completed,
-            latency=self._summarize_completed(
-                self.deployment.all_latencies(),
-                f"{spec.app}/{spec.policy} x{spec.shards} sharded run",
-            ),
-            average_power_watts=sum(
-                result.average_power_watts for result in shard_results
-            ),
-            shards=tuple(shard_results),
-        )
-
-    def _collect_qos(self) -> QosRunResult:
-        spec = self.spec
-        assert (
-            self._setup is not None
-            and self.command_center is not None
-            and self.generator is not None
-            and self.application is not None
-            and self._qos_sampler is not None
-        )
-        setup = self._setup
-        sampler = self._qos_sampler
-        return QosRunResult(
-            app=setup.app,
-            policy=spec.policy,
-            duration_s=spec.duration_s,
-            qos_target_s=setup.qos_target_s,
-            reference_power_watts=self._reference_power,
-            queries_submitted=self.generator.queries_submitted,
-            queries_completed=self.application.completed,
-            latency=self._summarize_completed(
-                self.command_center.all_latencies,
-                f"{setup.app}/{spec.policy} QoS run",
-            ),
-            average_power_fraction=sampler.average_power_fraction(),
-            violation_fraction=sampler.violation_fraction(),
-            actions=(
-                tuple(self.controller.actions)
-                if self.controller is not None
-                else ()
-            ),
-            qos_samples=tuple(sampler.samples),
+            average_power_watts=stack.machine.total_energy() / total_s,
+            actions=_actions(stack.controller),
+            state_samples=tuple(sampler.samples),
         )
 
     # ------------------------------------------------------------------
     def execute(self) -> Union[RunResult, QosRunResult, ShardedRunResult]:
         """Walk the whole lifecycle: build, arm, start, run, drain, collect.
 
-        Observability hooks unwind even when the run raises, exactly as
-        the pre-scenario runners guaranteed.
+        Observability hooks unwind even when arming or the run raises:
+        any failure after ``build`` aborts the stack before re-raising.
         """
         self.build()
-        self.arm()
         try:
+            self.arm()
             self.start()
             self.run()
             self.drain()

@@ -88,6 +88,21 @@ _OBSERVE_PILLARS = (
     "stream",
 )
 
+#: Option keys each scenario kind reads: the accounting-plane knobs,
+#: plus the conserve-mode controller's fractions and window in QoS mode.
+_ACCOUNTING_OPTIONS = (
+    "slo_target_s",
+    "slo_attainment",
+    "slo_window_s",
+    "stream_interval_s",
+    "stream_path",
+)
+_KIND_OPTIONS = {
+    "latency": _ACCOUNTING_OPTIONS,
+    "qos": _ACCOUNTING_OPTIONS
+    + ("hold_fraction", "conserve_fraction", "guard_fraction", "e2e_window_s"),
+}
+
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
 _CONTROLLER_FIELDS = frozenset(
@@ -319,7 +334,8 @@ class ScenarioSpec:
     #: Observability pillars to arm: the core trio (trace/metrics/audit)
     #: plus the accounting plane (attribution/slo/energy/stream).
     observe: tuple[str, ...] = ()
-    #: Extra scalar keyword options (QoS conserve fractions and the like).
+    #: Extra scalar keyword options, checked per kind (SLO/stream knobs;
+    #: QoS conserve fractions and the like).
     options: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -429,6 +445,12 @@ class ScenarioSpec:
                         f"got {entry!r}"
                     )
                 StageAllocation(count=entry[1], level=entry[2])
+        for key, _ in self.options:
+            if key not in _KIND_OPTIONS[self.kind]:
+                known = ", ".join(sorted(_KIND_OPTIONS[self.kind]))
+                raise ConfigurationError(
+                    f"unknown {self.kind} option {key!r} (known: {known})"
+                )
         for key, _ in self.controller:
             if key not in _CONTROLLER_FIELDS:
                 known = ", ".join(sorted(_CONTROLLER_FIELDS))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
+from repro.scenario.config import TABLE3_SIRIUS, TABLE3_WEBSEARCH
 from repro.experiments.runner import (
     LATENCY_POLICIES,
     QOS_POLICIES,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.actions import FrequencyChangeAction, InstanceLaunchAction
-from repro.experiments.config import (
+from repro.scenario.config import (
     TABLE2_POWER_BUDGET_WATTS,
     TABLE3_SIRIUS,
     TABLE3_WEBSEARCH,

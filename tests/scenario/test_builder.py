@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError
-from repro.experiments.config import TABLE3_SIRIUS
+from repro.scenario.config import TABLE3_SIRIUS
 from repro.experiments.runner import run_latency_experiment, run_qos_experiment
 from repro.scenario import (
     QosRunResult,

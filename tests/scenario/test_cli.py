@@ -83,6 +83,15 @@ class TestScenarioCommand:
         assert main(["scenario", "validate", str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
 
+    def test_validate_rejects_misspelled_option(self, tiny_scenario, tmp_path, capsys):
+        spec, _ = tiny_scenario
+        payload = spec.to_dict()
+        payload["options"] = {"stream_intervl_s": 1.0}
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["scenario", "validate", str(bad)]) == 1
+        assert "stream_intervl_s" in capsys.readouterr().out
+
     def test_validate_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["scenario", "validate", str(missing)]) != 0

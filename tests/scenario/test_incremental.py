@@ -12,9 +12,11 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.export import scenario_payload
 from repro.guard import GuardConfig
+from repro.obs import EnergyAttributor, MetricsRegistry, Observability
+from repro.obs import logging as obs_logging
 from repro.scenario.builder import StackBuilder, run_scenario
 from repro.scenario.spec import ScenarioSpec
 from repro.units import exactly
@@ -299,6 +301,26 @@ class TestAbort:
         assert builder.phase == "aborted"
         assert [label for label, _ in builder.abort_errors] == ["controller"]
         assert isinstance(builder.abort_errors[0][1], RuntimeError)
+
+    @pytest.mark.parametrize(
+        "shards, metrics",
+        [(1, False), (2, True)],
+        ids=["energy-without-metrics", "energy-on-shards"],
+    )
+    def test_execute_unwinds_a_failed_arm(self, shards, metrics):
+        spec = ScenarioSpec.latency(
+            "sirius", "powerchief", ("constant", 1.5), 60.0, seed=3, shards=shards
+        )
+        observability = Observability(
+            metrics=MetricsRegistry() if metrics else None,
+            energy=EnergyAttributor(),
+        )
+        builder = StackBuilder(spec, observability=observability)
+        with pytest.raises(ConfigurationError, match="energy"):
+            builder.execute()
+        assert builder.phase == "aborted"
+        assert obs_logging._clock is None
+        assert builder.sim._event_hooks == []
 
     def test_execute_aborts_on_failure(self, monkeypatch):
         builder = StackBuilder(SHORT_SPEC)

@@ -114,6 +114,61 @@ class TestValidation:
         assert "slo" in spec.observe
 
 
+class TestOptionKeys:
+    def test_misspelled_latency_option_rejected(self):
+        with pytest.raises(ConfigurationError, match="stream_intervl_s"):
+            ScenarioSpec.latency(
+                "sirius",
+                "powerchief",
+                ("constant", 1.5),
+                60.0,
+                stream_intervl_s=1.0,
+            )
+
+    def test_qos_only_options_rejected_on_latency(self):
+        with pytest.raises(ConfigurationError, match="unknown latency option"):
+            latency_spec(options=(("hold_fraction", 0.8),))
+
+    def test_unknown_qos_option_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown qos option"):
+            ScenarioSpec.qos("sirius", "powerchief", 4.0, 60.0, bogus=1)
+
+    def test_known_options_accepted_per_kind(self):
+        latency_spec(
+            options=(
+                ("slo_attainment", 0.95),
+                ("slo_target_s", 2.0),
+                ("slo_window_s", 30.0),
+                ("stream_interval_s", 1.0),
+                ("stream_path", "out.jsonl"),
+            )
+        )
+        ScenarioSpec.qos(
+            "sirius",
+            "pegasus",
+            4.0,
+            60.0,
+            hold_fraction=0.8,
+            conserve_fraction=0.7,
+            guard_fraction=0.9,
+            e2e_window_s=20.0,
+            slo_target_s=2.0,
+        )
+
+    def test_from_json_rejects_a_bad_option(self):
+        payload = ScenarioSpec.qos("sirius", "powerchief", 4.0, 60.0).to_dict()
+        payload["options"] = {"bogus": 1}
+        with pytest.raises(ConfigurationError, match="bogus"):
+            ScenarioSpec.from_json(json.dumps(payload))
+
+    def test_cell_to_scenario_rejects_a_bad_option(self):
+        from repro.experiments.parallel import CellSpec, cell_to_scenario
+
+        cell = CellSpec.qos("sirius", "powerchief", 4.0, 60.0, bogus=1)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            cell_to_scenario(cell)
+
+
 class TestRoundTrip:
     def test_json_round_trip_is_identity(self):
         spec = latency_spec(
@@ -121,7 +176,7 @@ class TestRoundTrip:
             drain_s=30.0,
             chaos="crash-heavy",
             controller=(("adjust_interval_s", 25.0), ("stale_metric_guard", True)),
-            options=(("n_cores", 16),),
+            options=(("slo_window_s", 30.0),),
         )
         restored = ScenarioSpec.from_json(spec.to_json())
         assert restored == spec
