@@ -12,6 +12,7 @@ query carried along.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Optional
 
@@ -124,9 +125,15 @@ class Application:
         self._stages.append(stage)
         self._stage_by_name[profile.name] = stage
         next_index = len(self._stages)
-        self._hop_callbacks.append(
-            lambda done, _next=next_index: self._hop(done, _next)
-        )
+        if self.fabric is None and self._zero_hop:
+            # Nothing to pay between stages (both settings are fixed at
+            # construction): the route is the next stage's entry itself.
+            route: Callable[[Query], None] = functools.partial(
+                self._advance, stage_index=next_index
+            )
+        else:
+            route = functools.partial(self._hop, next_index=next_index)
+        self._hop_callbacks.append(route)
         stage.add_crash_listener(self._on_instance_crash)
         return stage
 
@@ -222,10 +229,12 @@ class Application:
         """Inject a query into the first stage."""
         if not self._stages:
             raise StageError(f"application {self.name} has no stages")
-        missing = [
-            stage.name for stage in self._stages if stage.name not in query.demands
-        ]
-        if missing:
+        if not self._stage_by_name.keys() <= query.demands.keys():
+            missing = [
+                stage.name
+                for stage in self._stages
+                if stage.name not in query.demands
+            ]
             raise StageError(
                 f"query {query.qid} lacks demands for stages {missing}"
             )
@@ -291,7 +300,7 @@ class Application:
             listener(query)
 
     def _hop(self, query: Query, next_index: int) -> None:
-        """Route onward, paying the inter-stage network delay if any."""
+        """Route onward through the fabric or after the hop delay."""
         if self.fabric is not None:
             src = f"stage:{self._stages[next_index - 1].name}"
             dst = (
@@ -300,8 +309,6 @@ class Application:
                 else "user"
             )
             self.fabric.send(src, dst, lambda: self._advance(query, next_index))
-        elif self._zero_hop:
-            self._advance(query, next_index)
         else:
             self.sim.schedule(self.hop_delay_s, self._advance, query, next_index)
 

@@ -9,9 +9,11 @@ scaled by the instance's speedup curve at its current frequency.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
+from repro.units import exactly
 from repro.sim.rng import SeededStream
 
 __all__ = [
@@ -102,9 +104,15 @@ class LogNormalDemand(DemandDistribution):
             raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
         self._mean = float(mean_seconds)
         self._sigma = float(sigma)
+        # ``mu`` solved once, by the same expression as
+        # ``SeededStream.lognormal_mean`` (so the same float).
+        self._mu = math.log(self._mean) - 0.5 * self._sigma * self._sigma
+        self._degenerate = exactly(self._sigma, 0.0)
 
     def sample(self, rng: SeededStream) -> float:
-        return rng.lognormal_mean(self._mean, self._sigma)
+        if self._degenerate:
+            return self._mean
+        return rng.lognormvariate(self._mu, self._sigma)
 
     @property
     def mean(self) -> float:
@@ -116,8 +124,6 @@ class LogNormalDemand(DemandDistribution):
 
     @property
     def cv2(self) -> float:
-        import math
-
         return math.exp(self._sigma * self._sigma) - 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -276,17 +276,15 @@ class ServiceInstance:
             )
         if job.work < 0.0:
             raise InstanceStateError(f"job work must be >= 0, got {job.work}")
-        enqueue_time = self.sim.now if job.enqueue_time is None else job.enqueue_time
-        job.enqueue_time = enqueue_time
+        enqueue_time = job.enqueue_time
+        if enqueue_time is None:
+            enqueue_time = job.enqueue_time = self.sim.now
+        qlen = self._qlen
         job.record = StageRecord(
-            instance_id=self.iid,
-            instance_name=self.name,
-            stage_name=self.stage_name,
-            enqueue_time=enqueue_time,
-            queue_at_arrival=self.queue_length,
+            self.iid, self.name, self.stage_name, enqueue_time, queue_at_arrival=qlen
         )
         self._queue.append(job)
-        self._qlen += 1
+        self._qlen = qlen + 1
         if self._current is None and not self._hung:
             self._start_next()
 
@@ -536,33 +534,40 @@ class ServiceInstance:
 
     def _start_segment(self) -> None:
         """Open a constant-rate serving segment for the current job."""
-        self._segment_start = self.sim.now
-        self._segment_rate = self._work_rate()
-        duration = self._remaining_work / self._segment_rate
-        self._completion = self.sim.schedule(
-            duration, self._complete, priority=EventPriority.COMPLETION
+        sim = self.sim
+        now = self._segment_start = sim.now
+        rate = self._segment_rate = self._work_rate()
+        # ``now + duration`` is exactly what ``schedule`` would compute.
+        self._completion = sim.schedule_at(
+            now + self._remaining_work / rate,
+            self._complete,
+            priority=EventPriority.COMPLETION,
         )
 
     def _start_next(self) -> None:
         job = self._queue.popleft()
         self._current = job
         self._remaining_work = job.work
-        assert job.record is not None
-        job.record.start_time = self.sim.now
-        job.record.service_level = self.level
+        record = job.record
+        assert record is not None
+        now = self.sim.now
+        record.start_time = now
+        record.service_level = self.core._level
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         self._start_segment()
 
     def _complete(self) -> None:
         job = self._current
         assert job is not None
+        now = self.sim.now
         if not job.cancelled:
-            assert job.record is not None
-            job.record.finish_time = self.sim.now
-            job.query.append_record(job.record)
+            record = job.record
+            assert record is not None
+            record.finish_time = now
+            job.query.append_record(record)
             if self._tracer is not None:
-                self._tracer.emit_record(job.query.qid, job.work, job.record)
+                self._tracer.emit_record(job.query.qid, job.work, record)
             self._queries_served += 1
         self._current = None
         self._qlen -= 1
@@ -570,10 +575,9 @@ class ServiceInstance:
         self._remaining_work = 0.0
         if self._queue:
             self._start_next()
-        else:
-            if self._busy_since is not None:
-                self._busy_accumulated += self.sim.now - self._busy_since
-                self._busy_since = None
+        elif self._busy_since is not None:
+            self._busy_accumulated += now - self._busy_since
+            self._busy_since = None
         if not job.cancelled:
             job.on_done(job.query)
         if (

@@ -46,11 +46,14 @@ class Query:
     retried: bool = False
 
     def __post_init__(self) -> None:
-        for stage, demand in self.demands.items():
-            if demand < 0.0:
-                raise ServiceError(
-                    f"query {self.qid}: demand for stage {stage!r} is negative"
-                )
+        # ``0.0 > d`` is ``d < 0.0`` (NaN passes both); map/any keep the
+        # per-query check out of the bytecode loop.
+        if any(map((0.0).__gt__, self.demands.values())):
+            for stage, demand in self.demands.items():
+                if demand < 0.0:
+                    raise ServiceError(
+                        f"query {self.qid}: demand for stage {stage!r} is negative"
+                    )
 
     # ------------------------------------------------------------------
     @property

@@ -72,11 +72,12 @@ class Stage:
         self._iid_counter = iid_counter
         self._name_counter = itertools.count(1)
         self._instances: list[ServiceInstance] = []
-        # Cached running-instance list, rebuilt lazily; invalidated on
-        # every pool mutation and every instance lifecycle transition
-        # (each instance notifies via its state listener).  Callers of
-        # the private accessor must treat the list as read-only.
-        self._running_cache: Optional[list[ServiceInstance]] = None
+        # Cached running pool, rebuilt lazily; invalidated on every pool
+        # mutation and every instance lifecycle transition (each instance
+        # notifies via its state listener).  It is an immutable tuple in
+        # launch order, which is ascending iid: the shortest-queue
+        # dispatcher's first-idle rule relies on both.
+        self._running_cache: Optional[tuple[ServiceInstance, ...]] = None
         self._launches = 0
         self._withdrawals = 0
         self._crashes = 0
@@ -95,15 +96,15 @@ class Stage:
     def running_instances(self) -> list[ServiceInstance]:
         return list(self._running())
 
-    def _running(self) -> list[ServiceInstance]:
-        """The cached running pool; treat the returned list as read-only."""
+    def _running(self) -> tuple[ServiceInstance, ...]:
+        """The cached running pool, iid-ascending."""
         cache = self._running_cache
         if cache is None:
-            cache = self._running_cache = [
+            cache = self._running_cache = tuple(
                 inst
                 for inst in self._instances
                 if inst._state is InstanceState.RUNNING
-            ]
+            )
         return cache
 
     def _invalidate_running_cache(self, _instance: ServiceInstance) -> None:
@@ -316,24 +317,15 @@ class Stage:
         if not running:
             raise StageError(f"stage {self.name} has no running instances")
         if self.kind is StageKind.PIPELINE:
-            self._submit_pipeline(query, running, on_stage_done)
+            work = query.demand_for(self.name)
+            self.dispatcher.select(running).enqueue(Job(query, work, on_stage_done))
         else:
             self._submit_scatter_gather(query, running, on_stage_done)
-
-    def _submit_pipeline(
-        self,
-        query: Query,
-        running: list[ServiceInstance],
-        on_stage_done: Callable[[Query], None],
-    ) -> None:
-        work = query.demand_for(self.name)
-        instance = self.dispatcher.select(running)
-        instance.enqueue(Job(query=query, work=work, on_done=on_stage_done))
 
     def _submit_scatter_gather(
         self,
         query: Query,
-        running: list[ServiceInstance],
+        running: tuple[ServiceInstance, ...],
         on_stage_done: Callable[[Query], None],
     ) -> None:
         total_work = query.demand_for(self.name)

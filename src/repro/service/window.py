@@ -63,7 +63,10 @@ class LatencyWindow:
             times.append(time)
             self._samples.append((time, queuing, serving))
         self._total_ingested += 1
-        self._evict(time)
+        # The head sample is the oldest live one, so nothing is evicted
+        # unless it already left the window: ``_evict``'s first test.
+        if times[self._head] < time - self.window_s:
+            self._evict(time)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window_s

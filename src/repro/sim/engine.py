@@ -119,7 +119,8 @@ class Simulator:
         priority: int = EventPriority.NORMAL,
     ) -> Event:
         """Schedule ``action(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
+        # Written as ``not >=`` so a NaN delay fails the check too.
+        if not delay >= 0.0:
             raise SchedulingError(f"cannot schedule {delay} s in the past")
         return self.schedule_at(self._now + delay, action, *args, priority=priority)
 
@@ -130,8 +131,12 @@ class Simulator:
         *args: Any,
         priority: int = EventPriority.NORMAL,
     ) -> Event:
-        """Schedule ``action(*args)`` to run at absolute simulated ``time``."""
-        if time < self._now:
+        """Schedule ``action(*args)`` to run at absolute simulated ``time``.
+
+        Every event enters the heap here (``schedule`` delegates), so this
+        is the one place to observe or wrap scheduling.
+        """
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time}; simulator is already at t={self._now}"
             )
@@ -151,7 +156,11 @@ class Simulator:
         """Run the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
+        Like :meth:`run`, it is not reentrant: a callback that steps the
+        simulator could fire an event past a running deadline.
         """
+        if self._running:
+            raise SimulationError("Simulator.step() is not reentrant")
         queue = self._queue
         while queue:
             time, _priority, _seq, event = heapq.heappop(queue)
@@ -162,10 +171,14 @@ class Simulator:
             self._now = time
             event._fired = True
             self._events_processed += 1
-            if self._event_hooks:
-                for hook in self._event_hooks:
-                    hook(event)
-            event.action(*event.args)
+            self._running = True
+            try:
+                if self._event_hooks:
+                    for hook in self._event_hooks:
+                        hook(event)
+                event.action(*event.args)
+            finally:
+                self._running = False
             return True
         return False
 

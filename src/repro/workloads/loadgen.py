@@ -155,14 +155,18 @@ class QueryFactory:
         self.profiles = tuple(profiles)
         self.streams = streams
         self._qid = itertools.count(0)
+        # Resolved once: a stream's seed comes from its name alone, so
+        # creating them here rather than on the first query draws the
+        # same numbers.
+        self._samplers = tuple(
+            (profile.name, profile.demand, streams.stream(f"demand/{profile.name}"))
+            for profile in self.profiles
+        )
 
     def create(self) -> Query:
         """A fresh query with demands drawn for every stage."""
         demands = {
-            profile.name: profile.demand.sample(
-                self.streams.stream(f"demand/{profile.name}")
-            )
-            for profile in self.profiles
+            name: demand.sample(stream) for name, demand, stream in self._samplers
         }
         return Query(qid=next(self._qid), demands=demands)
 

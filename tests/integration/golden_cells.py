@@ -55,6 +55,22 @@ def golden_cells() -> dict[str, ScenarioSpec]:
             },
             n_cores=16,
         ),
+        # The widest pools pinned: 22/21/21 instances on 64 cores, where
+        # the shortest-queue dispatcher's first-idle rule does real work.
+        "sirius-fleet-jsq": ScenarioSpec.latency(
+            "sirius",
+            "powerchief",
+            ("constant", 20.0),
+            300.0,
+            seed=1,
+            budget_watts=1000.0,
+            allocation={
+                "ASR": StageAllocation(count=22, level=1),
+                "IMM": StageAllocation(count=21, level=1),
+                "QA": StageAllocation(count=21, level=1),
+            },
+            n_cores=64,
+        ),
         "sirius-chaos-sharded": ScenarioSpec.latency(
             "sirius",
             "powerchief",

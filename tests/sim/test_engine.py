@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.events import EventPriority
+from repro.units import exactly
 
 
 class TestScheduling:
@@ -35,6 +36,18 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SchedulingError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_nan_delay_rejected(self, sim):
+        # NaN fails both ``< 0`` and ``< now``; accepting it once put an
+        # event at the head of the heap and sent the clock to NaN.
+        with pytest.raises(SchedulingError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_count == 0
+
+    def test_nan_time_rejected(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_count == 0
 
     def test_non_callable_action_rejected(self, sim):
         with pytest.raises(SchedulingError):
@@ -137,6 +150,31 @@ class TestRunUntil:
         sim.schedule(1.0, recurse)
         with pytest.raises(SimulationError):
             sim.run()
+
+
+    def test_step_is_not_reentrant(self, sim):
+        # A callback stepping the simulator from inside run(until=1.5)
+        # would fire the t=2 event and leave the clock past the deadline.
+        fired = []
+
+        def step_from_callback():
+            fired.append(1.0)
+            sim.step()
+
+        sim.schedule(1.0, step_from_callback)
+        sim.schedule(2.0, fired.append, 2.0)
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.run(until=1.5)
+        assert fired == [1.0]
+        assert sim.pending_count == 1
+        assert exactly(sim.peek(), 2.0)
+        assert exactly(sim.now, 1.0)
+
+    def test_run_inside_step_is_not_reentrant(self, sim):
+        sim.schedule(1.0, sim.run)
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.step()
+        assert sim.step() is False
 
 
 class TestCancellation:
